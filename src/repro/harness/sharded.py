@@ -40,6 +40,12 @@ How the pieces fit:
   at "next cycle edge" matches gossip semantics.  Injection order is the
   sorted key order, so destination event sequence numbers — and therefore
   every downstream tie-break — are identical regardless of lane grouping.
+- **Collector pause** — ``populate``, ``start_all`` and the whole
+  ``run_windows`` loop (partition runs, RSS probes and barriers) run under
+  :class:`~repro.sim.engine.collector_paused`.  Windows create no cyclic
+  garbage, so the collector has nothing to reclaim here; left on between
+  partition runs, each barrier's allocations would trigger collections
+  that walk every partition's heap.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from ..nat.types import EMULATED_TYPES, NatType
 from ..net.address import NodeId, NodeKind
 from ..net.message import Message
 from ..parallel.executor import derive_seed
+from ..sim.engine import collector_paused
 from .world import World, WorldConfig
 
 __all__ = ["ShardedWorld"]
@@ -126,21 +133,22 @@ class ShardedWorld:
 
     def populate(self, count: int) -> None:
         """Create ``count`` nodes with global ids, homed by hash."""
-        if self.config.exact_ratio:
-            plan = self._global_nat_plan(count)
-        else:
-            plan = [self._draw_nat_type(i + 1) for i in range(count)]
-        for nat_type in plan:
-            node_id = next(self._ids)
-            home = derive_seed(self._master_seed, "shard-of", node_id) % self.partitions
-            self._node_partition[node_id] = home
-            self.worlds[home].add_node(nat_type, node_id=node_id)
-        # Every partition's fabric addresses the whole deployment's hosts,
-        # so its owner-hint working set is the global population, not the
-        # local one attach() derives from.
-        total = len(self._node_partition)
-        for world in self.worlds:
-            world.network.reserve_owner_hints(total)
+        with collector_paused():
+            if self.config.exact_ratio:
+                plan = self._global_nat_plan(count)
+            else:
+                plan = [self._draw_nat_type(i + 1) for i in range(count)]
+            for nat_type in plan:
+                node_id = next(self._ids)
+                home = self.partition_of(node_id)
+                self._node_partition[node_id] = home
+                self.worlds[home].add_node(nat_type, node_id=node_id)
+            # Every partition's fabric addresses the whole deployment's hosts,
+            # so its owner-hint working set is the global population, not the
+            # local one attach() derives from.
+            total = len(self._node_partition)
+            for world in self.worlds:
+                world.network.reserve_owner_hints(total)
 
     def _draw_nat_type(self, node_id: NodeId) -> NatType:
         rng = random.Random(derive_seed(self._master_seed, "nattype", node_id))
@@ -168,11 +176,12 @@ class ShardedWorld:
         return list(introducers)
 
     def start_all(self) -> None:
-        introducers = self.introducers()
-        for world in self.worlds:
-            for node in world.nodes.values():
-                if not node.alive:
-                    node.start(list(introducers))
+        with collector_paused():
+            introducers = self.introducers()
+            for world in self.worlds:
+                for node in world.nodes.values():
+                    if not node.alive:
+                        node.start(list(introducers))
 
     # ------------------------------------------------------------------
     # cross-shard routing
@@ -255,20 +264,21 @@ class ShardedWorld:
         order = [
             p for lane in range(lanes) for p in range(lane, self.partitions, lanes)
         ]
-        for _ in range(windows):
-            window_end = self.now + window_s
-            for p in order:
+        with collector_paused():
+            for _ in range(windows):
+                window_end = self.now + window_s
+                for p in order:
+                    started = _time.perf_counter()
+                    self.worlds[p].sim.run(until=window_end)
+                    self.compute_s[p] += _time.perf_counter() - started
+                    rss = _rss_kb()
+                    if rss > self.partition_rss_kb[p]:
+                        self.partition_rss_kb[p] = rss
                 started = _time.perf_counter()
-                self.worlds[p].sim.run(until=window_end)
-                self.compute_s[p] += _time.perf_counter() - started
-                rss = _rss_kb()
-                if rss > self.partition_rss_kb[p]:
-                    self.partition_rss_kb[p] = rss
-            started = _time.perf_counter()
-            self._exchange(window_end)
-            self.barrier_s += _time.perf_counter() - started
-            self.barrier_windows += 1
-            self.now = window_end
+                self._exchange(window_end)
+                self.barrier_s += _time.perf_counter() - started
+                self.barrier_windows += 1
+                self.now = window_end
 
     # ------------------------------------------------------------------
     # measurement

@@ -37,8 +37,11 @@ count lands in the ``timing`` section via ``annotate_timing``.
 
 from __future__ import annotations
 
+import gc
+import time
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from ..core.node import WhisperConfig
 from ..experiments.common import scaled
@@ -123,6 +126,39 @@ class _AggregateSim:
         return self._pending
 
 
+class _GcPauses:
+    """Cyclic-collector activity per phase, observed through ``gc.callbacks``.
+
+    The listener belongs to the bench, not the library: it is registered
+    only around the phases it measures, so the simulated code path carries
+    no instrumentation.
+    """
+
+    def __init__(self) -> None:
+        self.collections: dict[str, int] = {}
+        self.pause_s: dict[str, float] = {}
+        self._phase = ""
+        self._started = 0.0
+
+    def _callback(self, stage: str, _info: dict) -> None:
+        if stage == "start":
+            self._started = time.perf_counter()
+            return
+        self.collections[self._phase] += 1
+        self.pause_s[self._phase] += time.perf_counter() - self._started
+
+    @contextmanager
+    def watch(self, phase: str) -> Iterator[None]:
+        self._phase = phase
+        self.collections[phase] = 0
+        self.pause_s[phase] = 0.0
+        gc.callbacks.append(self._callback)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(self._callback)
+
+
 def run_scale100k(
     scale: float = 1.0,
     seed: int = 1013,
@@ -143,7 +179,8 @@ def run_scale100k(
     extras pin the merged trace SHA, the deployment-wide fabric totals,
     per-partition populations and the cross-shard message count; the
     timing half carries per-partition compute seconds and peak-RSS
-    watermarks plus the total barrier cost, so the gate sees both *what*
+    watermarks, the total barrier cost and the cyclic collector's
+    collections and pause seconds per phase, so the gate sees both *what*
     the sharded core computed and *where* the wall-clock went.
     """
     from ..harness.sharded import ShardedWorld
@@ -165,10 +202,11 @@ def run_scale100k(
     # count, clock and fabric totals; the telemetry-on JSONL equivalence
     # is pinned at small scale by tests/test_sharded.py.
     sharded = ShardedWorld(WorldConfig(seed=seed), partitions=partitions)
-    with probe.phase("populate"):
+    collector = _GcPauses()
+    with probe.phase("populate"), collector.watch("populate"):
         sharded.populate(n_nodes)
         sharded.start_all()
-    with probe.phase("gossip"):
+    with probe.phase("gossip"), collector.watch("gossip"):
         sharded.run_windows(10.0, cycles, shards=shards)
     probe.attach_sim(_AggregateSim(sharded))
     for world in sharded.worlds:
@@ -191,6 +229,11 @@ def run_scale100k(
     probe.annotate_timing("shard_peak_rss_kb", list(sharded.partition_rss_kb))
     probe.annotate_timing("barrier_s", round(sharded.barrier_s, 6))
     probe.annotate_timing("barrier_windows", sharded.barrier_windows)
+    probe.annotate_timing("gc_collections", collector.collections)
+    probe.annotate_timing(
+        "gc_pause_s",
+        {phase: round(s, 6) for phase, s in collector.pause_s.items()},
+    )
     return probe.finish()
 
 

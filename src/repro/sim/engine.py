@@ -17,6 +17,13 @@ event type needs no ordering protocol on the hot path.  ``run()`` drives the
 loop inline (no per-event ``step()`` call) and batches its telemetry counter
 updates, flushing once per ``run()`` rather than once per event; the flushed
 totals are identical, so exported traces are unaffected.
+
+Event churn produces no reference cycles, so the cyclic collector has
+nothing to reclaim during bulk simulation work and its generational scans
+are pure overhead.  :class:`collector_paused` is the one policy for holding
+it off: ``run()`` uses it, and so does every bulk phase of the sharded
+core, whose window loop would otherwise let collections walk the whole
+heap between partition runs.
 """
 
 from __future__ import annotations
@@ -31,11 +38,37 @@ from ..telemetry import NULL_TELEMETRY
 if TYPE_CHECKING:
     from ..telemetry import Telemetry
 
-__all__ = ["Event", "Simulator", "SimulationError"]
+__all__ = ["Event", "Simulator", "SimulationError", "collector_paused"]
 
 
 class SimulationError(RuntimeError):
     """Raised on misuse of the simulation engine (e.g. scheduling in the past)."""
+
+
+class collector_paused:
+    """Context manager: no cyclic garbage collection inside the block.
+
+    Disables the collector only if it was enabled on entry and restores
+    exactly that state on exit, exceptions included.  Nesting is therefore
+    safe: an inner pause finds the collector already off and leaves it
+    off, so only the outermost block turns it back on.
+
+    A class rather than a generator so that leaving the block allocates
+    nothing after ``gc.enable()``: the collection that re-enabling makes
+    due runs at the caller's next allocation, exactly where ``run()``'s
+    former inline toggle left it.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        if self._was_enabled:
+            gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 class Event:
@@ -224,39 +257,32 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         fired = 0
-        # Event churn produces no reference cycles, so generational GC scans
-        # during the run are pure overhead (~10% of wall time at scale).
-        # Suppress collection for the duration and restore on exit.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            while queue:
-                entry = queue[0]
-                event = entry[3]
-                if event.cancelled:
-                    # Lazily-deleted entry reached the top: drop it silently
-                    # (run() has never counted these as "skipped" — only
-                    # explicit step() calls do).
+            with collector_paused():
+                while queue:
+                    entry = queue[0]
+                    event = entry[3]
+                    if event.cancelled:
+                        # Lazily-deleted entry reached the top: drop it silently
+                        # (run() has never counted these as "skipped" — only
+                        # explicit step() calls do).
+                        heappop(queue)
+                        self._cancelled_in_queue -= 1
+                        continue
+                    if until is not None and entry[0] > until:
+                        break
+                    if max_events is not None and fired >= max_events:
+                        break
                     heappop(queue)
-                    self._cancelled_in_queue -= 1
-                    continue
-                if until is not None and entry[0] > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                heappop(queue)
-                event._done = True
-                self.now = entry[0]
-                self._events_processed += 1
-                fired += 1
-                event.callback()
-            if until is not None and until > self.now:
-                self.now = until
+                    event._done = True
+                    self.now = entry[0]
+                    self._events_processed += 1
+                    fired += 1
+                    event.callback()
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
-            if gc_was_enabled:
-                gc.enable()
             if fired:
                 self._tel_fired.inc(fired)
             self._flush_scheduled()

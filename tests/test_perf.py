@@ -83,6 +83,22 @@ class TestProbeDeterminism:
         speedup = post.events_per_sec / pre.events_per_sec
         assert speedup >= 1.15, f"SoA pass speedup {speedup:.2f}x below gate"
 
+    def test_collector_pause_speedup_is_recorded_and_sufficient(self):
+        """The committed sharded-core pair shows the gated >=1.3x win from
+        holding the cyclic collector off through every bulk phase.
+
+        Recorded back-to-back on the same machine at ``--scale 0.1``; the
+        deterministic halves must be identical (a pure speed change).
+        """
+        import pathlib
+
+        results = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+        pre = load_result(results / "BENCH_scale100k_pre_gcpause.json")
+        post = load_result(results / "BENCH_scale100k_post_gcpause.json")
+        assert pre.deterministic_json() == post.deterministic_json()
+        speedup = post.events_per_sec / pre.events_per_sec
+        assert speedup >= 1.3, f"collector-pause speedup {speedup:.2f}x below gate"
+
     def test_deterministic_view_strips_environment(self):
         doc = _document()
         view = deterministic_view(doc)

@@ -10,12 +10,15 @@ sort is what makes that true, so it gets its own tie-break test.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.harness.sharded import ShardedWorld
 from repro.harness.world import WorldConfig
 from repro.net.address import NodeKind
 from repro.parallel.executor import derive_seed
+from repro.sim.engine import collector_paused
 
 SEED = 4242
 PARTITIONS = 4
@@ -236,3 +239,87 @@ class TestMergedTrace:
         assert len(world.compute_s) == PARTITIONS
         assert all(s > 0.0 for s in world.compute_s)
         assert all(rss > 0 for rss in world.partition_rss_kb)
+
+
+class TestCollectorPause:
+    """Bulk phases hold the cyclic collector off and restore its state."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_bulk_phases_restore_the_state_they_found(self, gc_state):
+        world = ShardedWorld(WorldConfig(seed=SEED), partitions=PARTITIONS)
+        world.populate(40)
+        assert gc.isenabled() is gc_state
+        world.start_all()
+        assert gc.isenabled() is gc_state
+        world.run_windows(WINDOW_S, 1)
+        assert gc.isenabled() is gc_state
+
+    def test_state_restored_when_a_callback_raises(self, gc_state):
+        world = ShardedWorld(WorldConfig(seed=SEED), partitions=PARTITIONS)
+        world.populate(40)
+        world.start_all()
+
+        def explode():
+            raise RuntimeError("boom")
+
+        world.worlds[1].sim.schedule(WINDOW_S / 2, explode)
+        with pytest.raises(RuntimeError, match="boom"):
+            world.run_windows(WINDOW_S, 2)
+        assert gc.isenabled() is gc_state
+
+    def test_partition_runs_do_not_reenable_the_collector_early(self, gc_state):
+        """Each partition's own ``Simulator.run`` pause nests inside the
+        window loop's: the collector stays off between partition runs and
+        through the barrier, and only the outer pause restores it."""
+        world = ShardedWorld(WorldConfig(seed=SEED), partitions=PARTITIONS)
+        world.populate(40)
+        world.start_all()
+        seen: list[bool] = []
+        for partition in world.worlds:
+            run = partition.sim.run
+
+            def probed_run(*args, _run=run, **kwargs):
+                _run(*args, **kwargs)
+                seen.append(gc.isenabled())
+
+            partition.sim.run = probed_run
+        exchange = world._exchange
+
+        def probed_exchange(window_end):
+            seen.append(gc.isenabled())
+            return exchange(window_end)
+
+        world._exchange = probed_exchange
+        world.run_windows(WINDOW_S, 2)
+        assert seen == [False] * (2 * (PARTITIONS + 1))
+        assert gc.isenabled() is gc_state
+
+    def test_nested_pause_leaves_the_outer_one_in_charge(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            with collector_paused():
+                with collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_windows_create_no_cyclic_garbage(self):
+        """The premise that makes the pause safe: a window loop leaves
+        nothing for the collector.  Reference cycles added to the hot path
+        fail here instead of growing RSS silently."""
+        world = ShardedWorld(WorldConfig(seed=SEED), partitions=3)
+        world.populate(600)
+        world.start_all()
+        gc.collect()
+        world.run_windows(1.0, 30)
+        world.run_windows(WINDOW_S, 6)
+        assert gc.collect() == 0
